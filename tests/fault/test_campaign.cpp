@@ -21,6 +21,52 @@ CampaignConfig small_config() {
     return cfg;
 }
 
+/// FNV-1a over every field of every record, in record order.
+std::uint64_t record_digest(const std::vector<FaultRecord>& records) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const FaultRecord& r : records) {
+        for (const char c : r.site.reg) mix(static_cast<unsigned char>(c));
+        mix(r.site.bit);
+        mix(r.site.cycle);
+        mix(r.inject_cycle);
+        mix(static_cast<std::uint64_t>(r.outcome));
+        mix(r.finished);
+        mix(r.best_fitness);
+        mix(r.best_candidate);
+        mix(r.ga_cycles);
+        mix(r.final_state);
+    }
+    return h;
+}
+
+TEST(FaultCampaign, StridedMbf6SliceMatchesRecordedGolden) {
+    // Absolute taxonomy, cycle and record values of a strided slice of the
+    // default mBF6_2 campaign (the exhaustive run is BENCH_faults.json's
+    // 7915/1445/759/6). Any change to the lane runner's peripheral models,
+    // injection timing or completion rule moves at least one of these.
+    CampaignConfig cfg;
+    cfg.stride = 13;
+    cfg.lane_words = 8;
+    cfg.backend = gates::Backend::kInterp;
+    FaultCampaign campaign(cfg);
+    const std::vector<FaultSite> sites = campaign.enumerate_sites();
+    ASSERT_EQ(sites.size(), 779u);
+    const CampaignResult res = campaign.run_gate(sites);
+    EXPECT_EQ(res.masked, 604u);
+    EXPECT_EQ(res.wrong, 115u);
+    EXPECT_EQ(res.hang, 60u);
+    EXPECT_EQ(res.recovered, 0u);
+    EXPECT_EQ(res.gate_cycles, 25366u);
+    EXPECT_EQ(res.batches, 2u);
+    EXPECT_EQ(record_digest(res.records), 0x808b04ae00d56318ull);
+}
+
 TEST(FaultCampaign, EnumerationCoversChainTimesGrid) {
     CampaignConfig cfg = small_config();
     FaultCampaign campaign(cfg);
