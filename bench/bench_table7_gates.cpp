@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_tables7_9_common.hpp"
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 
 int main() {
     using namespace gaip;
@@ -24,9 +24,9 @@ int main() {
             lanes.push_back({.pop_size = c.pop, .n_gens = 64, .xover_threshold = c.xr,
                              .mut_threshold = 1, .seed = seed});
 
-    bench::BatchGateRunner runner(fn, lanes);
+    gates::BatchGateRunner runner(fn, lanes);
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<bench::BatchLaneResult> batch = runner.run();
+    const std::vector<gates::BatchLaneResult> batch = runner.run();
     const double t_batch =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 

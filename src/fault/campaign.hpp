@@ -1,10 +1,11 @@
 // FaultCampaign: enumerates the SEU fault space of the GA core — every
 // scan-chain flip-flop x a coarse grid of injection cycles — and classifies
-// each fault by running it on the N-word lane-block compiled gate-level
-// simulation (64 x lane_words lanes per batch): lane 0 of every batch is
-// the fault-free golden reference, each remaining lane carries one
-// independent upset (CompiledNetlist::xor_register_word), so one batched
-// simulation retires up to 64 x lane_words - 1 injections. Batches are
+// each fault by running it on the N-word lane-block gate-level runner of
+// src/gates/batch_runner.hpp (64 x lane_words lanes per batch, FEM timing
+// FemTiming::kSameCycle): lane 0 of every batch is the fault-free golden
+// reference, each remaining lane carries one independent upset
+// (BatchGateRunner::flip_lane_register), so one batched simulation retires
+// up to 64 x lane_words - 1 injections. Batches are
 // independent simulations and fan out across `threads` workers; records,
 // counts and cycle totals are deterministic regardless of width/threads.
 //

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 #include "island/rtl_driver.hpp"
 #include "mem/ga_memory.hpp"
 #include "system/ga_system.hpp"
@@ -34,7 +34,7 @@ std::vector<std::uint16_t> derive_seeds(std::uint16_t base, unsigned islands) {
 IslandSystem::IslandSystem(IslandConfig cfg) : cfg_(std::move(cfg)) {
     if (cfg_.islands == 0)
         throw std::invalid_argument("IslandSystem: need at least one island");
-    if (cfg_.islands > bench::BatchGateRunner::kMaxLanes)
+    if (cfg_.islands > gates::BatchGateRunner::kMaxLanes)
         throw std::invalid_argument("IslandSystem: island count exceeds the lane ceiling");
     if (!cfg_.seeds.empty() && cfg_.seeds.size() != cfg_.islands)
         throw std::invalid_argument("IslandSystem: seed vector size must equal island count");
@@ -240,7 +240,7 @@ IslandResult IslandSystem::run_gate() {
     std::vector<core::GaParameters> lane_params(n, eff_params_);
     for (unsigned i = 0; i < n; ++i) lane_params[i].seed = seeds_[i];
 
-    bench::BatchGateRunner runner(cfg_.fn, lane_params, cfg_.words, cfg_.gate_backend);
+    gates::BatchGateRunner runner(cfg_.fn, lane_params, cfg_.words, cfg_.gate_backend);
     std::vector<trace::MemorySink> sinks(n);
     for (unsigned i = 0; i < n; ++i) {
         runner.append_lane_write(i, kMigIntervalIndex, cfg_.migration.interval);
@@ -285,7 +285,7 @@ IslandResult IslandSystem::run_gate() {
     r.islands.resize(n);
     for (unsigned i = 0; i < n; ++i) {
         IslandStats& s = r.islands[i];
-        const bench::BatchLaneResult& lr = runner.lane_result(i);
+        const gates::BatchLaneResult& lr = runner.lane_result(i);
         s.seed = seeds_[i];
         s.best_fitness = lr.best_fitness;
         s.best_candidate = lr.best_candidate;

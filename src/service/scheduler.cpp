@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 #include "core/behavioral.hpp"
 #include "island/island.hpp"
 #include "island/supervised.hpp"
@@ -64,7 +64,7 @@ struct Scheduler::Job final : trace::TraceSink {
 Scheduler::Scheduler(SchedulerConfig cfg) : cfg_(cfg), started_(Clock::now()) {
     if (cfg_.workers == 0) cfg_.workers = 1;
     cfg_.max_batch_lanes =
-        std::clamp<unsigned>(cfg_.max_batch_lanes, 1, bench::BatchGateRunner::kMaxLanes);
+        std::clamp<unsigned>(cfg_.max_batch_lanes, 1, gates::BatchGateRunner::kMaxLanes);
     runner_cache_.resize(cfg_.workers);
     workers_.reserve(cfg_.workers);
     for (unsigned w = 0; w < cfg_.workers; ++w)
@@ -607,7 +607,7 @@ void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
     // the packed lane count.
     unsigned words = 1;
     for (const JobPtr& j : batch) words = std::max(words, j->rec.spec.words);
-    while (std::size_t{words} * bench::BatchGateRunner::kWordBits < batch.size()) words *= 2;
+    while (std::size_t{words} * gates::BatchGateRunner::kWordBits < batch.size()) words *= 2;
 
     std::vector<core::GaParameters> lane_params;
     lane_params.reserve(batch.size());
@@ -619,13 +619,13 @@ void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
         auto it = cache.find(words);
         if (it == cache.end()) {
             it = cache
-                     .emplace(words, std::make_unique<bench::BatchGateRunner>(
+                     .emplace(words, std::make_unique<gates::BatchGateRunner>(
                                          fn, lane_params, words, cfg_.gate_backend))
                      .first;
         } else {
             it->second->reconfigure(fn, lane_params);
         }
-        bench::BatchGateRunner& runner = *it->second;
+        gates::BatchGateRunner& runner = *it->second;
         {
             std::lock_guard<std::mutex> lk(mu_);
             ++counters_.gate_batches;
@@ -660,7 +660,7 @@ void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
                 finish(j, JobState::kExpired, {});
                 continue;
             }
-            const bench::BatchLaneResult& lr = runner.lane_result(static_cast<unsigned>(k));
+            const gates::BatchLaneResult& lr = runner.lane_result(static_cast<unsigned>(k));
             if (!lr.finished) {
                 finish(j, JobState::kFailed, {}, "lane did not finish within the cycle bound");
                 continue;

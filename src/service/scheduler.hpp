@@ -43,7 +43,7 @@
 #include "service/journal.hpp"
 #include "trace/event.hpp"
 
-namespace gaip::bench {
+namespace gaip::gates {
 class BatchGateRunner;
 }
 
@@ -200,7 +200,7 @@ private:
     std::mutex metrics_mu_;
 
     /// Per-worker gate-runner cache, keyed by lane-block words.
-    std::vector<std::unordered_map<unsigned, std::unique_ptr<bench::BatchGateRunner>>> runner_cache_;
+    std::vector<std::unordered_map<unsigned, std::unique_ptr<gates::BatchGateRunner>>> runner_cache_;
 
     std::vector<std::thread> workers_;
 };

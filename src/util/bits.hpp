@@ -51,7 +51,7 @@ constexpr std::uint16_t sat_u16(std::int64_t v) noexcept {
 }
 
 /// Saturating u64 addition: clamps to UINT64_MAX instead of wrapping.
-/// Cycle-bound computations (bench/gate_batch_runner.hpp,
+/// Cycle-bound computations (src/gates/batch_runner.cpp,
 /// src/system/parallel.cpp) use these so adversarial pop/gens configs
 /// produce "effectively unbounded" instead of a tiny wrapped bound that
 /// would flag healthy runs as hangs.

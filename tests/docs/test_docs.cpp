@@ -1,7 +1,8 @@
 // Documentation-drift checks: the docs/ tree must stay in sync with the
 // code. Fails when a relative markdown link is broken, a src/ subsystem is
 // missing from docs/ARCHITECTURE.md, a bench_out/ artifact is not covered
-// by docs/BENCH_DATA.md, or a docs/ page is missing from the docs index.
+// by docs/BENCH_DATA.md, or a docs/ page is missing from the docs index;
+// and when code includes the bench/ forwarding header of BatchGateRunner.
 // GAIP_SOURCE_DIR is injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
@@ -152,3 +153,20 @@ TEST(Docs, IndexLinksEveryDocsPage) {
 }
 
 }  // namespace
+
+TEST(Layering, NothingIncludesTheBenchBatchRunnerHeader) {
+    // BatchGateRunner lives in src/gates/batch_runner.hpp; the bench/ path
+    // is a forwarding header kept only for the benchmark sources.
+    const fs::path forwarder = kRepo / "bench" / "gate_batch_runner.hpp";
+    const std::string needle = "#include \"bench/gate_batch_runner.hpp\"";
+    for (const char* dir : {"src", "tools", "tests", "examples", "bench"}) {
+        for (const auto& e : fs::recursive_directory_iterator(kRepo / dir)) {
+            if (!e.is_regular_file() || e.path() == forwarder) continue;
+            const std::string ext = e.path().extension().string();
+            if (ext != ".cpp" && ext != ".hpp" && ext != ".h" && ext != ".inl") continue;
+            EXPECT_EQ(slurp(e.path()).find(needle), std::string::npos)
+                << e.path() << " includes bench/gate_batch_runner.hpp; include "
+                << "gates/batch_runner.hpp instead";
+        }
+    }
+}

@@ -13,7 +13,7 @@
 
 #include <cstdlib>
 
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 #include "core/behavioral.hpp"
 #include "core/params.hpp"
 #include "fitness/functions.hpp"
@@ -75,9 +75,9 @@ TEST_P(PresetGolds, CompiledGatesMatchGolden) {
     const PresetGolden& g = GetParam();
     if (g.preset != 1 && !heavy_enabled())
         GTEST_SKIP() << "gate-level presets 2/3 are heavy: set GAIP_HEAVY_TESTS";
-    bench::BatchGateRunner runner(kFn, {core::preset_parameters(g.preset)});
+    gates::BatchGateRunner runner(kFn, {core::preset_parameters(g.preset)});
     runner.set_lane_preset(0, g.preset);
-    const std::vector<bench::BatchLaneResult> res = runner.run();
+    const std::vector<gates::BatchLaneResult> res = runner.run();
     ASSERT_TRUE(res.front().finished);
     EXPECT_EQ(res.front().best_fitness, g.expect_best) << "preset " << int{g.preset};
     EXPECT_EQ(res.front().best_candidate, g.expect_candidate) << "preset " << int{g.preset};

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/bench_tables7_9_common.hpp"
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 
 namespace gaip {
 namespace {
@@ -34,8 +34,8 @@ TEST(Table7Golds, BatchedGateSweepReproducesPinnedBestFitness) {
                              .mut_threshold = 1, .seed = seed});
     ASSERT_EQ(lanes.size(), 24u);
 
-    bench::BatchGateRunner runner(fitness::FitnessId::kMBf6_2, lanes);
-    const std::vector<bench::BatchLaneResult> batch = runner.run();
+    gates::BatchGateRunner runner(fitness::FitnessId::kMBf6_2, lanes);
+    const std::vector<gates::BatchLaneResult> batch = runner.run();
     ASSERT_EQ(batch.size(), 24u);
 
     std::uint16_t best_overall = 0;

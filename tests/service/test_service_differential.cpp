@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 #include "core/behavioral.hpp"
 #include "core/params.hpp"
 #include "fitness/functions.hpp"
@@ -57,7 +57,7 @@ Expected direct_run(const JobSpec& spec) {
         case service::JobBackend::kGates: {
             // A one-lane runner: lane packing must not change any lane's
             // result, so the single-lane run is the reference.
-            bench::BatchGateRunner runner(spec.fn, {spec.params});
+            gates::BatchGateRunner runner(spec.fn, {spec.params});
             const auto out = runner.run();
             return {out[0].best_fitness, out[0].best_candidate};
         }

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 #include "fault/seu_injector.hpp"
 #include "system/ga_system.hpp"
 #include "trace/diff.hpp"
@@ -169,7 +169,7 @@ TEST(SystemTap, GateLevelCoreEmitsSameStreamMinusCounters) {
 TEST(GateLanes, LaneStreamMatchesRtlTap) {
     const std::vector<TraceEvent> rt = record_rtl();
 
-    bench::BatchGateRunner runner(fitness::FitnessId::kOneMax,
+    gates::BatchGateRunner runner(fitness::FitnessId::kOneMax,
                                   {small_params(), small_params()});
     MemorySink lane0, lane1;
     runner.set_lane_sink(0, &lane0);

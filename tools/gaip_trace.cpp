@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 #include "fault/seu_injector.hpp"
 #include "gates/jit.hpp"
 #include "fitness/functions.hpp"
@@ -208,7 +208,7 @@ int cmd_record(const RecordOptions& opt) {
         // jit_fallback under GAIP_JIT=1) must be attached first; detached
         // before the sink dies.
         gates::jit::set_trace_sink(&sink);
-        bench::BatchGateRunner runner(opt.fn, {opt.params});
+        gates::BatchGateRunner runner(opt.fn, {opt.params});
         gates::jit::set_trace_sink(nullptr);
         runner.set_lane_sink(0, &sink);
         std::unique_ptr<trace::VcdWriter> vcd;
@@ -216,7 +216,7 @@ int cmd_record(const RecordOptions& opt) {
             vcd = std::make_unique<trace::VcdWriter>(opt.vcd_path);
             runner.add_vcd(vcd.get(), {0});
         }
-        const std::vector<bench::BatchLaneResult> res = runner.run();
+        const std::vector<gates::BatchLaneResult> res = runner.run();
         sink.flush();
         std::printf("lane 0: best=%u cand=%u gens=%u, %llu events -> %s\n",
                     res[0].best_fitness, res[0].best_candidate, res[0].generations,
