@@ -86,7 +86,7 @@ CompiledNetlist::CompiledNetlist(const GateNetlist& src, Options opts) {
         throw std::invalid_argument(
             "CompiledNetlist: words must be 1, 2, 4, or 8 (64/128/256/512 lanes)");
     words_ = opts.words;
-    kernel_ = kernels::select(words_);
+    kernels_ = kernels::select(words_);
 
     const std::size_t n = src.net_count();
     ops_.resize(n);
@@ -325,10 +325,9 @@ CompiledNetlist::CompiledNetlist(const GateNetlist& src, Options opts) {
             throw std::logic_error("CompiledNetlist: register D net has no live slot");
         regs_d_.push_back(s);
     }
-    latch_tmp_.resize(regs_q_.size() * words_);
-
-    // +7 u64 of slack lets base() round up to the next 64-byte boundary.
-    store_.assign(std::size_t{slots_} * words_ + 7, 0);
+    // One latch scratch block per register after the slots; +7 u64 of
+    // slack lets base() round up to the next 64-byte boundary.
+    store_.assign((slots_ + regs_q_.size()) * words_ + 7, 0);
     std::uint64_t* const one = slot_ptr(1);
     for (unsigned w = 0; w < words_; ++w) one[w] = kAll;
 
@@ -444,7 +443,7 @@ void CompiledNetlist::eval() {
         jit_eval_(base());
         return;
     }
-    kernel_(code_.data(), code_.size(), base());
+    kernels_->eval(code_.data(), code_.size(), base());
 }
 
 std::uint32_t CompiledNetlist::make_cone(const std::vector<Net>& sources) {
@@ -473,7 +472,7 @@ std::uint32_t CompiledNetlist::make_cone(const std::vector<Net>& sources) {
 
 void CompiledNetlist::eval_cone(std::uint32_t cone) {
     const std::vector<LaneInstr>& c = cones_.at(cone);
-    kernel_(c.data(), c.size(), base());
+    kernels_->eval(c.data(), c.size(), base());
 }
 
 std::uint64_t CompiledNetlist::clock(bool test_mode, std::uint64_t scan_in) {
@@ -489,15 +488,7 @@ std::uint64_t CompiledNetlist::clock(bool test_mode, std::uint64_t scan_in) {
         jit_clock_(base());
         return out;
     }
-    const std::size_t r = regs_q_.size();
-    for (std::size_t i = 0; i < r; ++i) {
-        const std::uint64_t* const d = slot_ptr(regs_d_[i]);
-        for (unsigned w = 0; w < words_; ++w) latch_tmp_[i * words_ + w] = d[w];
-    }
-    for (std::size_t i = 0; i < r; ++i) {
-        std::uint64_t* const q = slot_ptr(regs_q_[i]);
-        for (unsigned w = 0; w < words_; ++w) q[w] = latch_tmp_[i * words_ + w];
-    }
+    kernels_->latch(regs_q_.data(), regs_d_.data(), regs_q_.size(), base(), latch_tmp());
     return out;
 }
 

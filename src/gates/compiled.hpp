@@ -65,6 +65,9 @@ namespace gaip::gates {
 namespace jit {
 class Module;
 }
+namespace kernels {
+struct Kernels;
+}
 
 /// Evaluation engine behind CompiledNetlist. kInterp runs the per-ISA
 /// interpreted kernels (compiled_kernels*); kJit lowers the optimized
@@ -275,8 +278,6 @@ public:
 private:
     static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-    using KernelFn = void (*)(const LaneInstr*, std::size_t, std::uint64_t*);
-
     // Aligned view over store_: slot s occupies words [s*words_, s*words_
     // + words_) from a 64-byte-aligned base. Recomputed from store_ on
     // demand so default copy/move keep the object valid.
@@ -294,6 +295,8 @@ private:
     const std::uint64_t* slot_ptr(std::uint32_t slot) const noexcept {
         return base() + std::size_t{slot} * words_;
     }
+    /// Scratch blocks of the interpreter's latch, past the last slot.
+    std::uint64_t* latch_tmp() noexcept { return slot_ptr(static_cast<std::uint32_t>(slots_)); }
     std::uint32_t input_slot(Net n, const char* who) const;
     std::uint32_t state_slot(Net n, const char* who) const;
     void check_word(unsigned word, const char* who) const;
@@ -301,16 +304,15 @@ private:
 
     std::vector<LaneInstr> code_;
     std::vector<std::vector<LaneInstr>> cones_;  // make_cone sub-streams
-    std::vector<std::uint64_t> store_;      // raw backing (aligned view via base())
+    std::vector<std::uint64_t> store_;      // raw backing (aligned view via base()), + latch scratch
     std::size_t slots_ = 0;
     unsigned words_ = 1;
     std::vector<std::uint32_t> root_;       // source net -> slot (kNoSlot = pruned)
     std::vector<GateOp> ops_;               // source ops (input/state checks)
     std::vector<std::uint32_t> regs_q_;     // slots, scan-chain order
     std::vector<std::uint32_t> regs_d_;     // slots, root-resolved D nets
-    std::vector<std::uint64_t> latch_tmp_;  // clock() scratch (regs * words)
     std::vector<std::uint64_t> gate_tmp_;   // clock_gated() Q save (lazily sized)
-    KernelFn kernel_ = nullptr;
+    const kernels::Kernels* kernels_ = nullptr;  // interpreter eval + latch for words_
     std::shared_ptr<const jit::Module> jit_;  // native backend (null = interp)
     // Raw entry points of jit_ (non-null iff jit_ is), cached so the hot
     // paths dispatch without a virtual call.

@@ -27,11 +27,23 @@ namespace kernels {
 
 /// Evaluate `n` instructions over a value array where slot s occupies
 /// words [s*W, s*W + W); W is baked into the function.
-using KernelFn = void (*)(const LaneInstr* code, std::size_t n, std::uint64_t* values);
+using EvalFn = void (*)(const LaneInstr* code, std::size_t n, std::uint64_t* values);
 
-/// Best kernel for `words` (1/2/4/8) on this CPU. Never returns null.
+/// Register latch: copy the block of slot d[i] into slot q[i] for all `n`
+/// registers, every D read before any Q is written (a D may be another
+/// register's Q). `tmp` holds n blocks of W words, aligned like a slot.
+using LatchFn = void (*)(const std::uint32_t* q, const std::uint32_t* d, std::size_t n,
+                         std::uint64_t* values, std::uint64_t* tmp);
+
+/// One ISA's kernels for a W-word block.
+struct Kernels {
+    EvalFn eval;
+    LatchFn latch;
+};
+
+/// Best kernels for `words` (1/2/4/8) on this CPU. Never returns null.
 /// Throws std::invalid_argument on an unknown GAIP_KERNEL value.
-KernelFn select(unsigned words);
+const Kernels* select(unsigned words);
 
 /// Name of the variant select(words) resolves to on this CPU under the
 /// current GAIP_KERNEL setting: "generic", "avx2" or "avx512". Same strict
@@ -39,12 +51,12 @@ KernelFn select(unsigned words);
 const char* selected_name(unsigned words);
 
 /// Portable kernel table (always available).
-KernelFn generic(unsigned words);
+const Kernels* generic(unsigned words);
 
 #if defined(GAIP_X86_KERNELS)
 /// Per-ISA tables; only linked on x86-64 GNU/Clang builds.
-KernelFn avx2(unsigned words);
-KernelFn avx512(unsigned words);
+const Kernels* avx2(unsigned words);
+const Kernels* avx512(unsigned words);
 #endif
 
 }  // namespace kernels

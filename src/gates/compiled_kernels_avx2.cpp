@@ -11,6 +11,6 @@ namespace {
 #include "gates/compiled_kernels_impl.inl"
 }  // namespace
 
-KernelFn avx2(unsigned words) { return table(words); }
+const Kernels* avx2(unsigned words) { return table(words); }
 
 }  // namespace gaip::gates::kernels

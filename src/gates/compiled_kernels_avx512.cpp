@@ -12,6 +12,6 @@ namespace {
 #include "gates/compiled_kernels_impl.inl"
 }  // namespace
 
-KernelFn avx512(unsigned words) { return table(words); }
+const Kernels* avx512(unsigned words) { return table(words); }
 
 }  // namespace gaip::gates::kernels

@@ -51,9 +51,9 @@ const char* resolve_variant(unsigned words) {
 
 }  // namespace
 
-KernelFn generic(unsigned words) { return table(words); }
+const Kernels* generic(unsigned words) { return table(words); }
 
-KernelFn select(unsigned words) {
+const Kernels* select(unsigned words) {
     const char* variant = resolve_variant(words);
 #if defined(GAIP_X86_KERNELS)
     if (std::strcmp(variant, "avx512") == 0) return avx512(words);

@@ -17,7 +17,7 @@
 //     gaip_jit_clock / gaip_jit_scan functions with the latch slot lists
 //     unrolled,
 // then compiled by the HOST toolchain into a shared object and dlopen()ed
-// behind the same KernelFn-shaped seam the interpreter uses. Results are
+// behind the same EvalFn-shaped seam the interpreter uses. Results are
 // bit-identical to the interpreter by construction (pure bitwise integer
 // ops; tests/gates/test_jit.cpp pins it differentially at every width).
 //

@@ -650,6 +650,11 @@ void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
                 if (!any_live) break;
             }
         }
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            counters_.gate_lane_cycles += runner.cycles() * batch.size();
+            counters_.gate_open_lane_cycles += runner.usage().open_lane_cycles;
+        }
         for (std::size_t k = 0; k < batch.size(); ++k) {
             const JobPtr& j = batch[k];
             if (j->cancel.load(std::memory_order_relaxed)) {

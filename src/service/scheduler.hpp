@@ -90,6 +90,8 @@ struct ServiceStats {
     std::uint64_t done_supervised = 0;  ///< subset with supervise = 1
     std::uint64_t gate_batches = 0;     ///< BatchGateRunner launches
     std::uint64_t gate_lanes = 0;       ///< lanes across those launches
+    std::uint64_t gate_lane_cycles = 0;       ///< lanes x GA cycles across those launches
+    std::uint64_t gate_open_lane_cycles = 0;  ///< of which the lane was still running
     std::uint64_t restored = 0;         ///< terminal jobs recovered from the journal
     std::uint64_t readmitted = 0;       ///< interrupted jobs re-run after recovery
     double uptime_s = 0;

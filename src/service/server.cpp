@@ -521,6 +521,8 @@ void Server::handle_line(Conn& c, const std::string& line) {
             f.add("done_supervised", s.done_supervised);
             f.add("gate_batches", s.gate_batches);
             f.add("gate_lanes", s.gate_lanes);
+            f.add("gate_lane_cycles", s.gate_lane_cycles);
+            f.add("gate_open_lane_cycles", s.gate_open_lane_cycles);
             f.add("restored", s.restored);
             f.add("readmitted", s.readmitted);
             f.add("streams_shed", streams_shed_);

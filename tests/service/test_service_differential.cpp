@@ -174,6 +174,13 @@ TEST(Differential, GatePackingPreservesLaneResults) {
     EXPECT_EQ(st.u64("done_gates"), 16u);
     EXPECT_EQ(st.u64("gate_lanes"), 16u);
     EXPECT_EQ(st.u64("gate_batches"), 1u);  // the whole pile in ONE batch
+    // Lane usage of that batch: 16 lanes x its GA cycles, of which the
+    // lanes that finish early leave some idle.
+    const std::uint64_t lane_cycles = st.u64("gate_lane_cycles");
+    const std::uint64_t open = st.u64("gate_open_lane_cycles");
+    EXPECT_EQ(lane_cycles % 16, 0u);
+    EXPECT_GT(open, 0u);
+    EXPECT_LE(open, lane_cycles);
 }
 
 TEST(Differential, IslandJobMatchesDirectEnsemble) {
