@@ -9,8 +9,10 @@
 // independent islands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/behavioral.hpp"
@@ -18,6 +20,7 @@
 #include "island/island.hpp"
 #include "prng/rng_module.hpp"
 #include "supervisor/supervisor.hpp"
+#include "system/ga_system.hpp"
 
 namespace gaip::island {
 namespace {
@@ -171,31 +174,89 @@ TEST(MigrationRegisters, FuzzedRegistersNeverHangAndStayBitIdentical) {
 
 // interval == 0 and count == 0 both mean "interconnect off": N islands
 // evolve exactly as N fully independent single-island runs with the same
-// seeds, on every substrate.
+// seeds, on every substrate. An isolated RT-level ensemble is the
+// seed-parallel "K engines, best-of" configuration: each island is a plain
+// GaSystem run and each behavioral island a plain run_behavioral_ga, and
+// the ensemble result is the best-of reduction over the islands.
 TEST(MigrationRegisters, ZeroEmigrantEnsembleEqualsIndependentRuns) {
-    for (bool via_count : {false, true}) {
-        IslandConfig cfg;
-        cfg.base.pop_size = 16;
-        cfg.base.n_gens = 16;
-        cfg.base.seed = 0xB342;
-        cfg.islands = 4;
-        cfg.migration.interval = via_count ? 4 : 0;
-        cfg.migration.count = via_count ? 0 : 2;
-        cfg.backend = BackendKind::kRtl;
-        IslandSystem sys(cfg);
-        EXPECT_TRUE(sys.boundaries().empty());
-        const IslandResult ens = sys.run();
-        EXPECT_TRUE(ens.migrations.empty());
-        for (unsigned i = 0; i < cfg.islands; ++i) {
-            IslandConfig solo = cfg;
-            solo.islands = 1;
-            solo.seeds = {sys.seeds()[i]};
-            const IslandResult one = IslandSystem(solo).run();
-            EXPECT_EQ(ens.islands[i].best_fitness, one.islands[0].best_fitness) << "island " << i;
-            EXPECT_EQ(ens.islands[i].best_candidate, one.islands[0].best_candidate)
-                << "island " << i;
-            EXPECT_EQ(ens.islands[i].best_trajectory, one.islands[0].best_trajectory)
-                << "island " << i;
+    for (const fitness::FitnessId fn :
+         {fitness::FitnessId::kMBf6_2, fitness::FitnessId::kMShubert2D}) {
+        for (bool via_count : {false, true}) {
+            SCOPED_TRACE(fitness::fitness_name(fn) + (via_count ? " count=0" : " interval=0"));
+            IslandConfig cfg;
+            cfg.fn = fn;
+            cfg.base.pop_size = 16;
+            cfg.base.n_gens = 16;
+            cfg.base.seed = 0xB342;
+            cfg.islands = 4;
+            cfg.migration.interval = via_count ? 4 : 0;
+            cfg.migration.count = via_count ? 0 : 2;
+            cfg.backend = BackendKind::kRtl;
+            IslandSystem sys(cfg);
+            EXPECT_TRUE(sys.boundaries().empty());
+            const IslandResult ens = sys.run();
+            EXPECT_TRUE(ens.migrations.empty());
+            std::uint64_t longest = 0;
+            for (unsigned i = 0; i < cfg.islands; ++i) {
+                SCOPED_TRACE("island " + std::to_string(i));
+                const IslandStats& isl = ens.islands[i];
+                IslandConfig solo = cfg;
+                solo.islands = 1;
+                solo.seeds = {sys.seeds()[i]};
+                const IslandResult one = IslandSystem(solo).run();
+                EXPECT_EQ(isl.best_fitness, one.islands[0].best_fitness);
+                EXPECT_EQ(isl.best_candidate, one.islands[0].best_candidate);
+                EXPECT_EQ(isl.best_trajectory, one.islands[0].best_trajectory);
+
+                system::GaSystemConfig scfg;
+                scfg.params = sys.params();
+                scfg.params.seed = sys.seeds()[i];
+                scfg.internal_fems = {fn};
+                scfg.keep_populations = false;
+                system::GaSystem ref(scfg);
+                const core::RunResult rr = ref.run();
+                EXPECT_EQ(isl.best_fitness, rr.best_fitness);
+                EXPECT_EQ(isl.best_candidate, rr.best_candidate);
+                EXPECT_EQ(isl.evaluations, rr.evaluations);
+                ASSERT_EQ(isl.best_trajectory.size(), rr.history.size());
+                for (std::size_t g = 0; g < rr.history.size(); ++g)
+                    EXPECT_EQ(isl.best_trajectory[g], rr.history[g].best_fit) << "gen " << g;
+                // The island counts GA edges from the core's kStart state to
+                // kDone; GaSystem counts from start_GA to GA_done as sampled
+                // on the peripheral clock, a constant two edges more.
+                EXPECT_EQ(isl.run_cycles, ref.ga_cycles() - 2);
+                EXPECT_EQ(isl.stall_cycles, 0u);
+                longest = std::max(longest, isl.run_cycles);
+            }
+            EXPECT_EQ(ens.makespan_cycles, longest);
+
+            // Best-of reduction: the maximum, ties to the lowest island.
+            std::uint16_t best = 0;
+            for (const IslandStats& isl : ens.islands) best = std::max(best, isl.best_fitness);
+            EXPECT_EQ(ens.best_fitness, best);
+            for (unsigned i = 0; i < ens.best_island; ++i)
+                EXPECT_LT(ens.islands[i].best_fitness, best) << "island " << i;
+            EXPECT_EQ(ens.islands[ens.best_island].best_fitness, best);
+            EXPECT_EQ(ens.best_candidate, ens.islands[ens.best_island].best_candidate);
+            EXPECT_EQ(ens.best_fitness, fitness::fitness_u16(fn, ens.best_candidate));
+
+            cfg.backend = BackendKind::kBehavioral;
+            const IslandResult beh = IslandSystem(cfg).run();
+            for (unsigned i = 0; i < cfg.islands; ++i) {
+                SCOPED_TRACE("behavioral island " + std::to_string(i));
+                core::GaParameters p = sys.params();
+                p.seed = sys.seeds()[i];
+                const core::RunResult rr = core::run_behavioral_ga(
+                    p, [fn](std::uint16_t x) { return fitness::fitness_u16(fn, x); },
+                    cfg.rng_kind, /*keep_populations=*/false);
+                EXPECT_EQ(beh.islands[i].best_fitness, rr.best_fitness);
+                EXPECT_EQ(beh.islands[i].best_candidate, rr.best_candidate);
+                EXPECT_EQ(beh.islands[i].evaluations, rr.evaluations);
+                ASSERT_EQ(beh.islands[i].best_trajectory.size(), rr.history.size());
+                for (std::size_t g = 0; g < rr.history.size(); ++g)
+                    EXPECT_EQ(beh.islands[i].best_trajectory[g], rr.history[g].best_fit)
+                        << "gen " << g;
+            }
         }
     }
 }
